@@ -17,7 +17,7 @@
 //! strictly exceeded), so every answer is the pure classifier selection
 //! regardless of drift-counter interleaving across client threads.
 
-use crate::report;
+use crate::{report, ScratchDir};
 use intune_core::{Benchmark, FeatureVector};
 use intune_daemon::{
     protocol, Daemon, DaemonClient, DaemonOptions, ListenConfig, ShadowPolicy, TenantSpec,
@@ -294,11 +294,8 @@ pub fn daemon_baseline(cfg: &DaemonBenchConfig) -> DaemonBenchResult {
     // Tracing-overhead phase: the identical load against a fresh daemon
     // that head-samples 1-in-64 requests into a span log (no shadows —
     // the comparison isolates the sampling layer, not the mirror).
-    let span_path = std::env::temp_dir().join(format!(
-        "intune-bench-daemon-{}.spans.log",
-        std::process::id()
-    ));
-    std::fs::remove_file(&span_path).ok();
+    let scratch = ScratchDir::new("daemon");
+    let span_path = scratch.path().join("daemon.spans.log");
     let spans = Arc::new(SpanLog::open(&span_path).expect("span log"));
     let traced_daemon = Daemon::bind_tenants(
         traced_specs,
@@ -332,7 +329,6 @@ pub fn daemon_baseline(cfg: &DaemonBenchConfig) -> DaemonBenchResult {
     traced_handle.join().expect("traced daemon exit");
     let spans_recorded = spans.appended();
     drop(spans);
-    std::fs::remove_file(&span_path).ok();
 
     DaemonBenchResult {
         clients: cfg.clients as u64,

@@ -60,8 +60,36 @@ pub use serve_baseline::{
 
 use intune_eval::{run_case_full, CaseRunOptions, SuiteConfig, TestCase};
 use intune_exec::Engine;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// A scratch directory owned by one caller, removed on drop. The name
+/// carries the process id plus a process-wide counter, so baselines (and
+/// tests) running concurrently in one process never share one.
+pub(crate) struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    pub(crate) fn new(tag: &str) -> ScratchDir {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("intune-bench-{tag}-{}-{n}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("bench scratch dir");
+        ScratchDir(dir)
+    }
+
+    pub(crate) fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
 
 /// A micro-scale suite configuration for benches: one case runs in tens of
 /// milliseconds so Criterion can sample it meaningfully.
@@ -188,24 +216,23 @@ mod tests {
 
     #[test]
     fn warm_cache_dir_eliminates_fresh_measurement() {
-        let dir = std::env::temp_dir().join(format!("intune-bench-warm-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = ScratchDir::new("warm");
+        let dir = scratch.path();
         let cold = exec_baseline(
             &micro_config(),
             &[TestCase::Sort2],
             &Engine::serial(),
-            Some(&dir),
+            Some(dir),
         );
         assert!(cold[0].cells_measured > 0);
         let warm = exec_baseline(
             &micro_config(),
             &[TestCase::Sort2],
             &Engine::serial(),
-            Some(&dir),
+            Some(dir),
         );
         assert_eq!(warm[0].cells_measured, 0, "persisted caches warm-start");
         assert!(warm[0].hit_rate > 0.99);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

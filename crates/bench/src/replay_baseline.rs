@@ -10,7 +10,7 @@
 //! Capture counts and replay counts are deterministic; wall-clock figures
 //! are environment-dependent.
 
-use crate::report;
+use crate::{report, ScratchDir};
 use intune_core::{Benchmark, FeatureVector};
 use intune_daemon::{Daemon, DaemonClient, DaemonOptions, ListenConfig, TenantSpec};
 use intune_datalog::{
@@ -22,7 +22,6 @@ use intune_learning::pipeline::learn;
 use intune_learning::TwoLevelOptions;
 use intune_serve::{ModelArtifact, ServeOptions, VectorService, ARTIFACT_VERSION};
 use serde_json::Value;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -93,28 +92,6 @@ impl CaseVisitor for ExportVisitor {
     }
 }
 
-/// A scratch recording directory, removed on drop.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new() -> ScratchDir {
-        let dir = std::env::temp_dir().join(format!(
-            "intune-replay-bench-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        ScratchDir(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
 /// Runs the round trip end to end (train → record under load → replay
 /// the capture twice in-process → compare byte-wise).
 ///
@@ -126,9 +103,9 @@ pub fn replay_baseline(cfg: &ReplayBenchConfig) -> ReplayBenchResult {
     let (artifact, features) =
         visit_case(cfg.case, &cfg.suite, &engine, &mut ExportVisitor).expect("training failed");
     let tenant = artifact.benchmark.clone();
-    let scratch = ScratchDir::new();
+    let scratch = ScratchDir::new("replay");
     let sink = Arc::new(
-        RecorderSink::open(&scratch.0, RecordingOptions::default()).expect("recorder open"),
+        RecorderSink::open(scratch.path(), RecordingOptions::default()).expect("recorder open"),
     );
 
     let serve = ServeOptions {
@@ -183,7 +160,7 @@ pub fn replay_baseline(cfg: &ReplayBenchConfig) -> ReplayBenchResult {
     // Replay the capture twice against two fresh services built from the
     // same artifact; per-connection order is preserved, so a
     // deterministic server must reproduce itself byte for byte.
-    let recording = load_recording(&scratch.0).expect("recording loads");
+    let recording = load_recording(scratch.path()).expect("recording loads");
     assert_eq!(
         recording.torn_segments, 0,
         "clean shutdown leaves no torn tail"

@@ -14,7 +14,7 @@
 //! executions a cold retrain performs minus the warm one's. Record/cell
 //! counts are deterministic; wall-clock figures are environment-dependent.
 
-use crate::report;
+use crate::{report, ScratchDir};
 use intune_core::{Benchmark, FeatureVector, Result};
 use intune_daemon::{Daemon, DaemonClient, DaemonOptions, ListenConfig, ShadowPolicy};
 use intune_eval::{visit_case, CaseVisitor, SuiteConfig, TestCase};
@@ -101,13 +101,8 @@ impl CaseVisitor for RetrainVisitor<'_> {
         B::Input: Sync + Clone,
     {
         let cfg = self.cfg;
-        let dir = std::env::temp_dir().join(format!(
-            "intune-bench-retrain-{}-{}",
-            case.name(),
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("bench temp dir");
+        let scratch = ScratchDir::new(&format!("retrain-{}", case.name()));
+        let dir = scratch.path();
         let journal_dir = dir.join("journal");
         let corpus_path = dir.join("corpus.json");
         let cache_path = dir.join("retrain.cache.json");
@@ -254,7 +249,6 @@ impl CaseVisitor for RetrainVisitor<'_> {
                 .any(|e| matches!(e.kind, intune_obs::EventKind::Promoted { .. })),
             "promote journaled: {logged:?}"
         );
-        std::fs::remove_dir_all(&dir).ok();
 
         let corpus_entries = report.compaction.added;
         Ok(RetrainBenchResult {

@@ -240,22 +240,22 @@ pub fn serve_baseline_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::micro_config;
+    use crate::{micro_config, ScratchDir};
 
-    fn config() -> ServeBenchConfig {
+    fn config(scratch: &ScratchDir) -> ServeBenchConfig {
         ServeBenchConfig {
             suite: micro_config(),
             rounds: 2,
             threads: 1,
             probe_every: 1,
-            artifact_dir: std::env::temp_dir()
-                .join(format!("intune-serve-bench-{}", std::process::id())),
+            artifact_dir: scratch.path().to_path_buf(),
         }
     }
 
     #[test]
     fn serve_baseline_counts_are_deterministic_and_fallback_engages() {
-        let cfg = config();
+        let scratch = ScratchDir::new("serve");
+        let cfg = config(&scratch);
         let a = serve_baseline(&cfg, &[TestCase::Sort2]);
         let b = serve_baseline(&cfg, &[TestCase::Sort2]);
         assert_eq!(a.len(), 1);
@@ -266,12 +266,12 @@ mod tests {
         assert_eq!(a.forced_ood, b.forced_ood);
         assert_eq!(a.forced_fallbacks, a.batch_size, "second batch fell back");
         assert!(a.fallback_engaged);
-        std::fs::remove_dir_all(&cfg.artifact_dir).ok();
     }
 
     #[test]
     fn serve_json_has_stable_schema() {
-        let cfg = config();
+        let scratch = ScratchDir::new("serve");
+        let cfg = config(&scratch);
         let cases = serve_baseline(&cfg, &[TestCase::Binpacking]);
         let json = serve_baseline_json(1, 1, &cases);
         for key in [
@@ -288,6 +288,5 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        std::fs::remove_dir_all(&cfg.artifact_dir).ok();
     }
 }

@@ -49,6 +49,7 @@ mod config;
 mod cost;
 mod error;
 mod features;
+pub mod seglog;
 mod selector;
 mod trace;
 

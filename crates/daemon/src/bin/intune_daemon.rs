@@ -4,8 +4,7 @@
 //! cargo run --release -p intune_daemon --bin intune_daemon -- \
 //!     --artifact artifacts/sort2.model.json [--artifact MORE.json ...] \
 //!     [--listen 127.0.0.1:0] \
-//!     [--uds /tmp/intune.sock] [--journal DIR] [--journal-segment N] \
-//!     [--record DIR] [--record-segment N] \
+//!     [--uds /tmp/intune.sock] [--journal DIR] [--record DIR] \
 //!     [--metrics 127.0.0.1:0] [--events events.log] \
 //!     [--spans DIR] [--trace-sample N] \
 //!     [--threads N] [--probe-every N] \
@@ -48,9 +47,9 @@
 //! threads default to `INTUNE_THREADS` (hardened parse) or 1.
 
 use intune_daemon::{Daemon, DaemonOptions, ListenConfig, TenantSpec};
-use intune_datalog::{RecorderSink, RecordingOptions};
+use intune_datalog::RecorderSink;
 use intune_obs::{EventLog, SpanLog};
-use intune_serve::{JournalOptions, JournalSink, ModelArtifact, ServeOptions, TraceSink};
+use intune_serve::{JournalSink, ModelArtifact, ServeOptions, TraceSink};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -58,9 +57,7 @@ use std::sync::Arc;
 fn main() {
     let mut artifact_paths: Vec<PathBuf> = Vec::new();
     let mut journal_dir: Option<PathBuf> = None;
-    let mut journal_segment = JournalOptions::default().segment_max_records;
     let mut record_dir: Option<PathBuf> = None;
-    let mut record_segment = RecordingOptions::default().segment_max_frames;
     let mut listen = ListenConfig::default();
     let mut opts = DaemonOptions {
         serve: ServeOptions {
@@ -86,9 +83,7 @@ fn main() {
                 match flag {
                     "--artifact" => artifact_paths.push(PathBuf::from(value)),
                     "--journal" => journal_dir = Some(PathBuf::from(value)),
-                    "--journal-segment" => journal_segment = parse(flag, value),
                     "--record" => record_dir = Some(PathBuf::from(value)),
-                    "--record-segment" => record_segment = parse(flag, value),
                     "--listen" => listen.tcp = value.clone(),
                     "--uds" => listen.uds = Some(PathBuf::from(value)),
                     "--metrics" => listen.metrics = Some(value.clone()),
@@ -155,7 +150,7 @@ fn main() {
                 } else {
                     dir.clone()
                 };
-                open_journal(&tenant_dir, journal_segment)
+                open_journal(&tenant_dir)
             });
             let recorder = record_dir.as_ref().map(|dir| {
                 // Same layout rule as the journal: sole tenant records
@@ -165,7 +160,7 @@ fn main() {
                 } else {
                     dir.clone()
                 };
-                open_recorder(&tenant_dir, record_segment)
+                open_recorder(&tenant_dir)
             });
             TenantSpec {
                 artifact,
@@ -190,28 +185,14 @@ fn main() {
     eprintln!("daemon exited cleanly");
 }
 
-fn open_journal(dir: &Path, segment_max_records: usize) -> Arc<dyn TraceSink> {
-    let sink = JournalSink::open(
-        dir,
-        JournalOptions {
-            segment_max_records,
-            ..JournalOptions::default()
-        },
-    )
-    .unwrap_or_else(|e| die(&e.to_string()));
+fn open_journal(dir: &Path) -> Arc<dyn TraceSink> {
+    let sink = JournalSink::open(dir, Default::default()).unwrap_or_else(|e| die(&e.to_string()));
     eprintln!("journaling served selections to {}", dir.display());
     Arc::new(sink)
 }
 
-fn open_recorder(dir: &Path, segment_max_frames: usize) -> Arc<RecorderSink> {
-    let sink = RecorderSink::open(
-        dir,
-        RecordingOptions {
-            segment_max_frames,
-            ..RecordingOptions::default()
-        },
-    )
-    .unwrap_or_else(|e| die(&e.to_string()));
+fn open_recorder(dir: &Path) -> Arc<RecorderSink> {
+    let sink = RecorderSink::open(dir, Default::default()).unwrap_or_else(|e| die(&e.to_string()));
     eprintln!("recording wire traffic to {}", dir.display());
     Arc::new(sink)
 }
@@ -228,8 +209,7 @@ fn usage() -> ! {
          [--listen ADDR] [--uds PATH] \
          [--metrics ADDR] [--events PATH] \
          [--spans DIR] [--trace-sample N] \
-         [--journal DIR] [--journal-segment N] \
-         [--record DIR] [--record-segment N] \
+         [--journal DIR] [--record DIR] \
          [--threads N] [--probe-every N] [--radius-factor X] \
          [--drift-threshold X] [--min-observations N] \
          [--shadow-drift-threshold X] [--shadow-min-observations N] \

@@ -575,8 +575,8 @@ mod tests {
 
     #[test]
     fn daemon_journals_served_selections_and_keeps_journaling_after_promote() {
-        use intune_serve::journal::{list_segments, read_segment};
-        use intune_serve::{JournalOptions, JournalSink, TraceSink};
+        use intune_core::seglog::{list_segments, read_file, SegmentRecord};
+        use intune_serve::{JournalOptions, JournalRecord, JournalSink, TraceSink};
         use std::sync::Arc;
 
         let dir = std::env::temp_dir().join(format!(
@@ -630,10 +630,10 @@ mod tests {
 
         // Read the journal back: revisions, landmarks and payloads match
         // what the daemon served.
-        let segments = list_segments(&dir).unwrap();
+        let segments = list_segments(&dir, JournalRecord::PREFIX).unwrap();
         let mut records = Vec::new();
         for s in &segments {
-            let scan = read_segment(s).unwrap();
+            let scan = read_file::<JournalRecord>(s).unwrap();
             assert!(scan.torn.is_none());
             records.extend(scan.records);
         }

@@ -9,9 +9,8 @@
 //! first-class artifact:
 //!
 //! * **[`recording`]** — a segmented, checksummed, crash-tolerant
-//!   append-only log of inbound daemon requests (`intune-datalog/1`,
-//!   same record codec and torn-tail discipline as the request
-//!   journal). The daemon taps its event loop into a [`RecorderSink`]
+//!   append-only log of inbound daemon requests (`intune-datalog/1`, an
+//!   [`intune_core::seglog`] directory log like the request journal). The daemon taps its event loop into a [`RecorderSink`]
 //!   when started with `--record DIR`.
 //! * **[`playback`]** — deterministic replay of a recording against any
 //!   [`ReplayTarget`] (an in-process [`intune_serve::VectorService`], or
@@ -35,7 +34,6 @@ pub use playback::{
     ReplayTarget,
 };
 pub use recording::{
-    list_segments, load_recording, read_segment, segment_index, segment_path, FrameBody,
-    RecordedFrame, RecorderSink, Recording, RecordingOptions, RecordingWriter, SegmentScan,
-    DATALOG_SCHEMA, DATALOG_VERSION, SEGMENT_PREFIX, SEGMENT_SUFFIX,
+    load_recording, FrameBody, RecordedFrame, RecorderSink, Recording, RecordingOptions,
+    RecordingWriter,
 };

@@ -1,11 +1,11 @@
 //! Property tests for recording durability: a segment truncated at any
 //! byte offset recovers every complete frame and types the torn tail —
-//! the datalog mirror of the journal's truncation property.
+//! the datalog mirror of the journal's truncation property, run on real
+//! recording frames through the shared `intune_core::seglog` reader.
 
+use intune_core::seglog::{read_file, segment_path, SegmentRecord};
 use intune_core::{FeatureDef, FeatureId, FeatureSample, FeatureVector};
-use intune_datalog::recording::{
-    read_segment, segment_path, FrameBody, RecordedFrame, RecordingOptions, RecordingWriter,
-};
+use intune_datalog::recording::{FrameBody, RecordedFrame, RecordingOptions, RecordingWriter};
 use proptest::prelude::*;
 
 fn vector(x: f64) -> FeatureVector {
@@ -70,20 +70,19 @@ proptest! {
             // One segment holds everything: rotation is covered by unit
             // tests; truncation semantics are per-file.
             let mut w = RecordingWriter::open(&dir, RecordingOptions {
-                segment_max_frames: frames + 1,
-                ..RecordingOptions::default()
+                segment_max_records: frames + 1,
             }).unwrap();
             for i in 0..frames {
                 w.append(frame(i)).unwrap();
             }
         }
-        let path = segment_path(&dir, 0);
+        let path = segment_path(&dir, RecordedFrame::PREFIX, 0);
         let bytes = std::fs::read(&path).unwrap();
 
         // Record the clean read and every frame's end offset.
-        let clean = read_segment(&path).unwrap();
+        let clean = read_file::<RecordedFrame>(&path).unwrap();
         prop_assert!(clean.torn.is_none());
-        prop_assert_eq!(clean.frames.len(), frames);
+        prop_assert_eq!(clean.records.len(), frames);
         let mut boundaries = vec![0usize];
         {
             let mut at = 0usize;
@@ -98,13 +97,13 @@ proptest! {
 
         let cut = cut_sel % (bytes.len() + 1);
         std::fs::write(&path, &bytes[..cut]).unwrap();
-        let scan = read_segment(&path).unwrap();
+        let scan = read_file::<RecordedFrame>(&path).unwrap();
         let complete = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
         prop_assert_eq!(
-            scan.frames.len(), complete,
+            scan.records.len(), complete,
             "cut at {} must keep exactly the complete prefix", cut
         );
-        for (a, b) in scan.frames.iter().zip(&clean.frames) {
+        for (a, b) in scan.records.iter().zip(&clean.records) {
             prop_assert_eq!(a, b, "recovered frames are bit-faithful");
         }
         let on_boundary = boundaries.contains(&cut);

@@ -58,9 +58,8 @@ fn main() {
     if !follow {
         if let Some(torn) = &scan.torn {
             eprintln!(
-                "intune_obs_dump: torn tail after {} complete events ({} clean bytes): {torn}",
-                scan.events.len(),
-                scan.consumed
+                "intune_obs_dump: torn tail after {} complete events: {torn}",
+                scan.events.len()
             );
         }
         return;

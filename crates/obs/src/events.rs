@@ -1,39 +1,22 @@
 //! The structured lifecycle event log.
 //!
-//! One append-only file of [`intune_core::codec::encode_record`] frames
-//! (schema `intune-obs-event` v1, the same 4-byte-length + checksummed
-//! compact-JSON envelope the selection journal uses), each frame one
-//! [`Event`]: a monotone sequence number, a wall-clock unix-millisecond
-//! timestamp, the tenant and revision it concerns, and a typed
-//! [`EventKind`]. Appends are **best-effort and infallible at the call
-//! site**: the serving path must never fail or block on observability,
-//! so an append that cannot be encoded or written is counted in
-//! [`EventLog::dropped`] and otherwise ignored — the same contract the
-//! datalog recorder tap makes.
-//!
-//! Crash tolerance mirrors the journal: [`EventLog::open`] scans an
-//! existing file with [`intune_core::codec::scan_records`], keeps every
-//! complete event, truncates a torn tail (a crash mid-append), and
-//! resumes the sequence after the highest recovered `seq`. Readers use
-//! [`read_events`]/[`scan_events`], which type the torn tail instead of
-//! panicking — truncation at *any* byte offset recovers every complete
-//! event (pinned by a property test).
+//! One append-only file of [`Event`]s (schema `intune-obs-event` v1): a
+//! monotone sequence number, a wall-clock unix-millisecond timestamp,
+//! the tenant and revision it concerns, and a typed [`EventKind`]. The
+//! file is an [`intune_core::seglog`] log in the single-file layout:
+//! framing and torn-tail recovery (reopen truncates a torn tail and
+//! resumes `seq`) are specified there. Appends are **best-effort and
+//! infallible at the call site** — the serving path must never fail or
+//! block on observability, so an event that cannot be encoded or written
+//! is counted in `dropped` and otherwise ignored.
 
 use crate::LatencySummary;
-use intune_core::codec::{encode_record, scan_records};
+use intune_core::seglog::{self, Record, Sink, Writer};
 use intune_core::{Error, Result};
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::ops::Deref;
+use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
-
-/// Event-log record schema name.
-pub const EVENT_SCHEMA: &str = "intune-obs-event";
-/// Event-log record schema version.
-pub const EVENT_VERSION: u32 = 1;
 
 /// What happened. Externally tagged (the variant name is the JSON key),
 /// so a timeline renderer can dispatch without knowing every field.
@@ -129,170 +112,74 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// The crash-tolerant append-side handle. Cheap to share behind an
-/// `Arc`; appends serialize on an internal mutex but assemble the frame
-/// outside it and issue exactly one `write(2)` per event.
-pub struct EventLog {
-    path: PathBuf,
-    file: Mutex<File>,
-    seq: AtomicU64,
-    appended: AtomicU64,
-    dropped: AtomicU64,
+impl Record for Event {
+    const SCHEMA: &'static str = "intune-obs-event";
+    const VERSION: u32 = 1;
+    fn seq_mut(&mut self) -> Option<&mut u64> {
+        Some(&mut self.seq)
+    }
+}
+
+/// The append-side handle: a [`Sink`] (so `appended` and `dropped` come
+/// from there) that stamps each event's `seq` under its lock. Cheap to
+/// share behind an `Arc`.
+#[derive(Debug)]
+pub struct EventLog(Sink<Event>);
+
+impl Deref for EventLog {
+    type Target = Sink<Event>;
+    fn deref(&self) -> &Sink<Event> {
+        &self.0
+    }
 }
 
 impl EventLog {
-    /// Opens (or creates) the event log at `path`, recovering from a
-    /// torn tail: complete events are kept, the tail is truncated, and
-    /// the sequence resumes after the highest recovered `seq`.
+    /// Opens (or creates) the event log at `path`, truncating a torn
+    /// tail and resuming the sequence after the last complete event.
     ///
     /// # Errors
     /// Returns [`Error::Artifact`] when the file cannot be read,
     /// created, or truncated.
     pub fn open(path: &Path) -> Result<EventLog> {
-        let (consumed, next_seq) = match std::fs::read(path) {
-            Ok(bytes) => {
-                let scan = scan_events(&bytes);
-                let next = scan.events.last().map_or(0, |e| e.seq + 1);
-                (Some(scan.consumed as u64), next)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (None, 0),
-            Err(e) => {
-                return Err(Error::artifact(format!(
-                    "cannot read event log {}: {e}",
-                    path.display()
-                )))
-            }
-        };
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| {
-                Error::artifact(format!("cannot open event log {}: {e}", path.display()))
-            })?;
-        if let Some(consumed) = consumed {
-            // Drop the torn tail so the next append starts on a frame
-            // boundary (append mode positions at EOF = consumed).
-            file.set_len(consumed).map_err(|e| {
-                Error::artifact(format!("cannot truncate event log {}: {e}", path.display()))
-            })?;
-        }
-        Ok(EventLog {
-            path: path.to_path_buf(),
-            file: Mutex::new(file),
-            seq: AtomicU64::new(next_seq),
-            appended: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        })
+        Ok(EventLog(Sink::new(Writer::open_file(path)?, ())))
     }
 
-    /// Appends one event, best-effort. Never returns an error and never
-    /// panics: encode or IO failures increment [`dropped`](Self::dropped)
-    /// and the caller proceeds — observability must not take down
-    /// serving.
+    /// Appends one event, best-effort: never returns an error and never
+    /// panics.
     pub fn record(&self, tenant: &str, revision: u64, kind: EventKind) {
-        let event = Event {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            unix_ms: unix_ms_now(),
-            tenant: tenant.to_string(),
-            revision,
-            kind,
-        };
-        // Assemble the full frame outside the writer lock; hold it only
-        // for the single write(2).
-        let value = serde_json::to_value(&event);
-        let Ok(frame) = encode_record(EVENT_SCHEMA, EVENT_VERSION, value) else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        let mut file = match self.file.lock() {
-            Ok(file) => file,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if file.write_all(&frame).is_ok() {
-            self.appended.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Where the log lives.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Events successfully appended by this handle (not counting those
-    /// recovered from a previous process).
-    #[must_use]
-    pub fn appended(&self) -> u64 {
-        self.appended.load(Ordering::Relaxed)
-    }
-
-    /// Events this handle failed to append (encode or IO error).
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.0.append(|()| {
+            Some(Event {
+                seq: 0, // assigned by the writer
+                unix_ms: unix_ms_now(),
+                tenant: tenant.to_string(),
+                revision,
+                kind,
+            })
+        });
     }
 }
 
-impl std::fmt::Debug for EventLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventLog")
-            .field("path", &self.path)
-            .field("appended", &self.appended())
-            .field("dropped", &self.dropped())
-            .finish()
-    }
-}
-
-/// Outcome of scanning an event-log byte stream.
+/// Outcome of reading an event log.
 #[derive(Debug)]
 pub struct EventScan {
     /// Every complete, checksum-verified event, in append order.
     pub events: Vec<Event>,
-    /// Bytes the complete events consumed (the safe truncation point).
-    pub consumed: usize,
     /// Typed description of a torn or corrupt tail, if any.
     pub torn: Option<Error>,
 }
 
-/// Scans a byte stream of event-log frames. Never panics: truncation at
-/// any offset yields every complete event plus a typed `torn` error.
-/// A frame whose payload no longer deserializes as an [`Event`] (schema
-/// drift) also stops the scan with a typed error.
-#[must_use]
-pub fn scan_events(bytes: &[u8]) -> EventScan {
-    let scan = scan_records(bytes, EVENT_SCHEMA, EVENT_VERSION);
-    let mut events = Vec::with_capacity(scan.records.len());
-    let mut torn = scan.torn;
-    for value in scan.records {
-        match serde_json::from_value::<Event>(&value) {
-            Ok(event) => events.push(event),
-            Err(e) => {
-                torn = Some(Error::artifact(format!(
-                    "event record does not deserialize: {e}"
-                )));
-                break;
-            }
-        }
-    }
-    EventScan {
-        events,
-        consumed: scan.consumed,
-        torn,
-    }
-}
-
-/// Reads and scans the event log at `path`.
+/// Reads the event log at `path`: every complete event, and the torn
+/// tail typed (see [`intune_core::seglog::scan`]).
 ///
 /// # Errors
 /// Returns [`Error::Artifact`] when the file cannot be read. A torn
-/// tail is *not* an error — it comes back typed in [`EventScan::torn`].
+/// tail is *not* an error — it comes back in [`EventScan::torn`].
 pub fn read_events(path: &Path) -> Result<EventScan> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| Error::artifact(format!("cannot read event log {}: {e}", path.display())))?;
-    Ok(scan_events(&bytes))
+    let scan = seglog::read_file(path)?;
+    Ok(EventScan {
+        events: scan.records,
+        torn: scan.torn,
+    })
 }
 
 /// Current wall clock as milliseconds since the unix epoch (0 if the
@@ -307,6 +194,7 @@ pub fn unix_ms_now() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -341,6 +229,7 @@ mod tests {
         assert_eq!(scan.events[1].seq, 1);
         assert!(matches!(scan.events[1].kind, EventKind::Promoted { .. }));
         assert!(scan.events[1].unix_ms >= scan.events[0].unix_ms);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
@@ -368,6 +257,38 @@ mod tests {
             EventKind::TenantBound { conn: 2 },
             "resumed append must be the recovered-then-written event"
         );
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn reopen_after_an_alien_record_appends_where_readers_see_it() {
+        // A checksum-valid event frame this build cannot deserialize (a
+        // newer writer's shape) ends the readable log, so a reopened log
+        // must append before it, not after it.
+        let path = tmp("alien");
+        let _ = std::fs::remove_file(&path);
+        EventLog::open(&path)
+            .unwrap()
+            .record("a", 1, EventKind::TenantBound { conn: 0 });
+        let future =
+            serde_json::Value::Object(vec![("future".to_string(), serde_json::Value::Int(1))]);
+        let alien = intune_core::codec::encode_record(Event::SCHEMA, Event::VERSION, future);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend(alien.unwrap());
+        std::fs::write(&path, bytes).unwrap();
+
+        let log = EventLog::open(&path).unwrap();
+        log.record("a", 1, EventKind::TenantBound { conn: 1 });
+        assert_eq!(log.appended(), 1);
+        let scan = read_events(&path).unwrap();
+        let seqs: Vec<u64> = scan.events.iter().map(|e| e.seq).collect();
+        assert_eq!(
+            seqs,
+            [0, 1],
+            "every appended event reads back, no seq repeats"
+        );
+        assert!(scan.torn.is_none());
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
@@ -424,5 +345,6 @@ mod tests {
         assert!(scan.torn.is_none());
         let back: Vec<EventKind> = scan.events.into_iter().map(|e| e.kind).collect();
         assert_eq!(back, kinds);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }

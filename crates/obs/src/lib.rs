@@ -12,9 +12,8 @@
 //!   cannot perturb the lock-free `ArcSwap` serving design.
 //! - **[`EventLog`]** — a crash-tolerant structured log of lifecycle
 //!   events (tenant bind, shadow stage, promote/reject with gating
-//!   counters, drift trip, fallback recovery, retrain cycle outcome)
-//!   on the same checksummed record framing as the selection journal
-//!   (`intune_core::codec::encode_record`/`scan_records`).
+//!   counters, drift trip, fallback recovery, retrain cycle outcome),
+//!   an `intune_core::seglog` log like the selection journal.
 //! - **[`expo::TextExposition`]** — Prometheus-style text rendering for
 //!   the daemon's `--metrics` HTTP scrape endpoint.
 //! - **[`trace`]** — sampled per-request span capture ([`Span`] /
@@ -36,15 +35,12 @@ pub mod timefmt;
 pub mod trace;
 
 pub use counter::Counter;
-pub use events::{
-    read_events, scan_events, Event, EventKind, EventLog, EventScan, EVENT_SCHEMA, EVENT_VERSION,
-};
+pub use events::{read_events, Event, EventKind, EventLog, EventScan};
 pub use expo::TextExposition;
 pub use histogram::{
     bucket_bounds, bucket_index, Histogram, HistogramSnapshot, LatencySummary, NUM_BUCKETS,
     SUB_BUCKETS,
 };
 pub use trace::{
-    read_span_dir, read_spans, scan_spans, IdMinter, Sampler, Span, SpanLog, SpanScan,
-    SPAN_LOG_SUFFIX, SPAN_SCHEMA, SPAN_VERSION,
+    read_span_dir, read_spans, IdMinter, Sampler, Span, SpanLog, SpanScan, SPAN_LOG_SUFFIX,
 };

@@ -4,9 +4,9 @@
 //! *which* request moved it, *which* stage spent the time, and *which*
 //! artifact revision answered. A [`Span`] is one timed operation inside
 //! a trace ([`intune_core::TraceContext`] names the trace); spans from
-//! every process append to a crash-tolerant [`SpanLog`] — the same
-//! checksummed-frame + torn-tail discipline as the [`EventLog`]
-//! (schema `intune-obs-span` v1), equally best-effort-infallible on the
+//! every process append to a [`SpanLog`] (schema `intune-obs-span` v1),
+//! an [`intune_core::seglog`] log in the single-file layout like the
+//! [`EventLog`](crate::EventLog), equally best-effort-infallible on the
 //! record path.
 //!
 //! Cost is bounded head-based: a [`Sampler`] admits 1-in-N requests
@@ -18,19 +18,13 @@
 //! The `intune_trace` bin reconstructs trace trees from one or more
 //! span logs (client + daemon files side by side in one directory).
 
-use intune_core::codec::{encode_record, fnv1a64, scan_records};
+use intune_core::codec::fnv1a64;
+use intune_core::seglog::{self, Record, Sink, Writer};
 use intune_core::{Error, Result};
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Span-log record schema name.
-pub const SPAN_SCHEMA: &str = "intune-obs-span";
-/// Span-log record schema version.
-pub const SPAN_VERSION: u32 = 1;
 
 /// File-name suffix every span log uses, so tools can sweep a directory
 /// holding one log per process (`daemon.spans.log`, `client.spans.log`).
@@ -167,16 +161,22 @@ impl IdMinter {
     }
 }
 
-/// The crash-tolerant span-log append handle: the [`EventLog`]
-/// discipline applied to spans. Appends are best-effort and infallible
-/// at the call site — encode or IO failures count into `dropped`.
-///
-/// [`EventLog`]: crate::EventLog
-pub struct SpanLog {
-    path: PathBuf,
-    file: Mutex<File>,
-    appended: AtomicU64,
-    dropped: AtomicU64,
+impl Record for Span {
+    const SCHEMA: &'static str = "intune-obs-span";
+    const VERSION: u32 = 1;
+}
+
+/// The span-log append handle: a [`Sink`] (so `appended` and `dropped`
+/// come from there). Appends are best-effort and infallible at the call
+/// site.
+#[derive(Debug)]
+pub struct SpanLog(Sink<Span>);
+
+impl Deref for SpanLog {
+    type Target = Sink<Span>;
+    fn deref(&self) -> &Sink<Span> {
+        &self.0
+    }
 }
 
 impl SpanLog {
@@ -187,130 +187,37 @@ impl SpanLog {
     /// Returns [`Error::Artifact`] when the file cannot be read,
     /// created, or truncated.
     pub fn open(path: &Path) -> Result<SpanLog> {
-        let consumed = match std::fs::read(path) {
-            Ok(bytes) => Some(scan_spans(&bytes).consumed as u64),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => {
-                return Err(Error::artifact(format!(
-                    "cannot read span log {}: {e}",
-                    path.display()
-                )))
-            }
-        };
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| {
-                Error::artifact(format!("cannot open span log {}: {e}", path.display()))
-            })?;
-        if let Some(consumed) = consumed {
-            file.set_len(consumed).map_err(|e| {
-                Error::artifact(format!("cannot truncate span log {}: {e}", path.display()))
-            })?;
-        }
-        Ok(SpanLog {
-            path: path.to_path_buf(),
-            file: Mutex::new(file),
-            appended: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        })
+        Ok(SpanLog(Sink::new(Writer::open_file(path)?, ())))
     }
 
-    /// Appends one span, best-effort: the frame is assembled outside
-    /// the writer lock and written with one `write(2)`; failures count
-    /// into [`dropped`](Self::dropped) and never surface.
+    /// Appends one span, best-effort: failures count into `dropped` and
+    /// never surface.
     pub fn record(&self, span: &Span) {
-        let value = serde_json::to_value(span);
-        let Ok(frame) = encode_record(SPAN_SCHEMA, SPAN_VERSION, value) else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        let mut file = match self.file.lock() {
-            Ok(file) => file,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if file.write_all(&frame).is_ok() {
-            self.appended.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Where the log lives.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Spans successfully appended by this handle.
-    #[must_use]
-    pub fn appended(&self) -> u64 {
-        self.appended.load(Ordering::Relaxed)
-    }
-
-    /// Spans this handle failed to append.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.0.append(|()| Some(span.clone()));
     }
 }
 
-impl std::fmt::Debug for SpanLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanLog")
-            .field("path", &self.path)
-            .field("appended", &self.appended())
-            .field("dropped", &self.dropped())
-            .finish()
-    }
-}
-
-/// Outcome of scanning a span-log byte stream.
+/// Outcome of reading span logs.
 #[derive(Debug)]
 pub struct SpanScan {
     /// Every complete, checksum-verified span, in append order.
     pub spans: Vec<Span>,
-    /// Bytes the complete spans consumed (the safe truncation point).
-    pub consumed: usize,
     /// Typed description of a torn or corrupt tail, if any.
     pub torn: Option<Error>,
 }
 
-/// Scans a byte stream of span-log frames: truncation at any offset
-/// yields every complete span plus a typed `torn` error, never a panic.
-#[must_use]
-pub fn scan_spans(bytes: &[u8]) -> SpanScan {
-    let scan = scan_records(bytes, SPAN_SCHEMA, SPAN_VERSION);
-    let mut spans = Vec::with_capacity(scan.records.len());
-    let mut torn = scan.torn;
-    for value in scan.records {
-        match serde_json::from_value::<Span>(&value) {
-            Ok(span) => spans.push(span),
-            Err(e) => {
-                torn = Some(Error::artifact(format!(
-                    "span record does not deserialize: {e}"
-                )));
-                break;
-            }
-        }
-    }
-    SpanScan {
-        spans,
-        consumed: scan.consumed,
-        torn,
-    }
-}
-
-/// Reads and scans the span log at `path`.
+/// Reads the span log at `path`: every complete span, and the torn tail
+/// typed (see [`intune_core::seglog::scan`]).
 ///
 /// # Errors
 /// Returns [`Error::Artifact`] when the file cannot be read. A torn
-/// tail is *not* an error — it comes back typed in [`SpanScan::torn`].
+/// tail is *not* an error — it comes back in [`SpanScan::torn`].
 pub fn read_spans(path: &Path) -> Result<SpanScan> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| Error::artifact(format!("cannot read span log {}: {e}", path.display())))?;
-    Ok(scan_spans(&bytes))
+    let scan = seglog::read_file(path)?;
+    Ok(SpanScan {
+        spans: scan.records,
+        torn: scan.torn,
+    })
 }
 
 /// Sweeps every `*.spans.log` file in `dir` (name order, so output is
@@ -321,28 +228,20 @@ pub fn read_spans(path: &Path) -> Result<SpanScan> {
 /// Returns [`Error::Artifact`] when the directory cannot be listed or a
 /// log file cannot be read.
 pub fn read_span_dir(dir: &Path) -> Result<SpanScan> {
-    let mut names: Vec<PathBuf> = std::fs::read_dir(dir)
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| Error::artifact(format!("cannot list span dir {}: {e}", dir.display())))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.ends_with(SPAN_LOG_SUFFIX))
-        })
+        .filter_map(|entry| Some(entry.ok()?.path()))
+        .filter(|p| p.to_str().is_some_and(|p| p.ends_with(SPAN_LOG_SUFFIX)))
         .collect();
-    names.sort();
+    paths.sort();
     let mut merged = SpanScan {
         spans: Vec::new(),
-        consumed: 0,
         torn: None,
     };
-    for path in names {
+    for path in paths {
         let scan = read_spans(&path)?;
         merged.spans.extend(scan.spans);
-        merged.consumed += scan.consumed;
-        if scan.torn.is_some() {
-            merged.torn = scan.torn;
-        }
+        merged.torn = scan.torn.or(merged.torn);
     }
     Ok(merged)
 }

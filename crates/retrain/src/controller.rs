@@ -28,6 +28,7 @@
 
 use crate::corpus::{AdmissionPolicy, CorpusStore};
 use crate::policy::{RetrainDecision, RetrainPolicy, RetrainReason};
+use intune_core::seglog::{self, SegmentRecord};
 use intune_core::{codec, Benchmark, Error, FeatureVector, Result};
 use intune_daemon::DaemonClient;
 use intune_exec::{CostCache, Engine};
@@ -161,10 +162,10 @@ fn compact_journal_impl(
     if !dir.exists() {
         return Ok(report);
     }
-    let segments = intune_serve::journal::list_segments(dir)?;
+    let segments = seglog::list_segments(dir, JournalRecord::PREFIX)?;
     let last = segments.len().saturating_sub(1);
     for (i, path) in segments.iter().enumerate() {
-        let scan = intune_serve::journal::read_segment(path)?;
+        let scan = seglog::read_file::<JournalRecord>(path)?;
         report.segments += 1;
         if scan.torn.is_some() {
             report.torn_segments += 1;
@@ -653,7 +654,6 @@ mod tests {
     use super::*;
     use crate::testutil::{synthetic_corpus, train_options, Synthetic};
     use intune_serve::journal::{JournalOptions, JournalWriter};
-    use intune_serve::JournalRecord;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -672,7 +672,6 @@ mod tests {
             dir,
             JournalOptions {
                 segment_max_records: segment_max,
-                ..JournalOptions::default()
             },
         )
         .unwrap();

@@ -1,63 +1,23 @@
-//! The request journal: a segmented, crash-tolerant append-only log of
-//! served selections.
+//! The request journal: the crash-tolerant log of served selections.
 //!
 //! Every record captures one answered request — the served feature
 //! vector, the chosen landmark, the drift/fallback outcome, the serving
 //! artifact's revision, and (when the client shipped one) an opaque
-//! raw-input payload. Records are framed with the workspace's checksummed
-//! record codec ([`intune_core::codec::encode_record`]): a 4-byte
-//! big-endian length prefix followed by a compact checksummed JSON
-//! envelope (`schema: "intune-request-journal"`, version 1).
+//! raw-input payload. The journal is an [`intune_core::seglog`] log in
+//! the directory layout (`journal-00000000.seg`, …; schema
+//! `intune-request-journal`, version 1); framing, rotation, torn-tail
+//! recovery and durability are specified there. This module adds the
+//! record type and the serving integration: a [`JournalSink`] stages a
+//! served batch and writes it with one syscall.
 //!
-//! ## Segments
-//!
-//! A journal directory holds numbered segment files
-//! (`journal-00000000.seg`, `journal-00000001.seg`, …). The writer
-//! appends to the highest-numbered segment and rotates to a fresh one
-//! every `segment_max_records` records, so compaction can consume sealed
-//! segments while the daemon keeps appending to the active one.
-//!
-//! ## Crash tolerance
-//!
-//! Appends are not atomic: a crash can leave a torn record at the end of
-//! the active segment. [`read_segment`] recovers every complete,
-//! checksum-verified record and reports the torn tail as a **typed
-//! error** (never a panic, whatever the truncation offset — a property
-//! test pins this). On reopen, a writer never appends after a torn tail:
-//! it seals the damaged segment and starts a fresh one, so one crash
-//! costs at most the record being written, not the segment.
-//!
-//! ## Durability
-//!
-//! A flushed record has reached the kernel (it survives a process
-//! crash); a **sealed** segment has been `fdatasync`ed (it survives a
-//! power cut). The active segment is only synced per flush when
-//! [`JournalOptions::sync_every_flush`] is set — see
-//! [`JournalWriter::flush`] for the exact guarantee and the rationale
-//! for the default.
-//!
-//! The full on-disk format specification lives in
-//! `crates/retrain/README.md`.
+//! The record schema lives in `crates/retrain/README.md`.
 
 use crate::service::Selection;
 use crate::trace::TraceSink;
-use intune_core::{codec, Error, FeatureVector, Result};
+use intune_core::seglog::{Record, SegmentOptions, SegmentRecord, Sink, Writer};
+use intune_core::FeatureVector;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Envelope schema name of journal records.
-pub const JOURNAL_SCHEMA: &str = "intune-request-journal";
-/// Current journal record schema version.
-pub const JOURNAL_VERSION: u32 = 1;
-/// Segment file name prefix.
-pub const SEGMENT_PREFIX: &str = "journal-";
-/// Segment file name suffix.
-pub const SEGMENT_SUFFIX: &str = ".seg";
 
 /// One served selection, as persisted in the journal.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -85,339 +45,30 @@ pub struct JournalRecord {
     pub trace_id: Option<u64>,
 }
 
-/// Journal writer tunables.
-#[derive(Debug, Clone)]
-pub struct JournalOptions {
-    /// Records per segment before the writer rotates to a fresh file.
-    pub segment_max_records: usize,
-    /// Call `fdatasync` after every flush, not only at segment seal.
-    ///
-    /// Off by default: the journal feeds retraining, where losing the
-    /// last batch to a power cut costs a little training data, not
-    /// correctness — and a per-batch fsync would put a disk round trip
-    /// on the serving path. Turn it on when every served selection must
-    /// survive power loss.
-    pub sync_every_flush: bool,
-}
-
-impl Default for JournalOptions {
-    fn default() -> Self {
-        JournalOptions {
-            segment_max_records: 1024,
-            sync_every_flush: false,
-        }
+impl Record for JournalRecord {
+    const SCHEMA: &'static str = "intune-request-journal";
+    const VERSION: u32 = 1;
+    fn seq_mut(&mut self) -> Option<&mut u64> {
+        Some(&mut self.seq)
     }
 }
 
-/// What [`read_segment`] recovered from one segment file.
-#[derive(Debug)]
-pub struct SegmentScan {
-    /// Every complete, checksum-verified record, in append order.
-    pub records: Vec<JournalRecord>,
-    /// The typed error describing a torn or corrupt tail, if the file
-    /// does not end exactly on a record boundary.
-    pub torn: Option<Error>,
+impl SegmentRecord for JournalRecord {
+    const PREFIX: &'static str = "journal-";
 }
 
-/// Lists a journal directory's segment files, ascending by index.
-///
-/// # Errors
-/// Returns [`Error::Artifact`] when the directory cannot be read.
-pub fn list_segments(dir: &Path) -> Result<Vec<PathBuf>> {
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| Error::artifact(format!("cannot read journal dir {}: {e}", dir.display())))?;
-    let mut segments: Vec<(u64, PathBuf)> = Vec::new();
-    for entry in entries {
-        let entry =
-            entry.map_err(|e| Error::artifact(format!("cannot list {}: {e}", dir.display())))?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(index) = name
-            .strip_prefix(SEGMENT_PREFIX)
-            .and_then(|rest| rest.strip_suffix(SEGMENT_SUFFIX))
-            .and_then(|digits| digits.parse::<u64>().ok())
-        {
-            segments.push((index, entry.path()));
-        }
-    }
-    segments.sort_by_key(|(index, _)| *index);
-    Ok(segments.into_iter().map(|(_, path)| path).collect())
-}
+/// Journal writer settings (the segment size).
+pub type JournalOptions = SegmentOptions;
 
-/// Path of segment `index` inside `dir`.
-pub fn segment_path(dir: &Path, index: u64) -> PathBuf {
-    dir.join(format!("{SEGMENT_PREFIX}{index:08}{SEGMENT_SUFFIX}"))
-}
-
-/// Index parsed back out of a segment path (None for foreign files).
-pub fn segment_index(path: &Path) -> Option<u64> {
-    path.file_name()?
-        .to_str()?
-        .strip_prefix(SEGMENT_PREFIX)?
-        .strip_suffix(SEGMENT_SUFFIX)?
-        .parse()
-        .ok()
-}
-
-/// Reads one segment, recovering every complete record and typing the
-/// torn tail (see the module docs). IO failure is the only hard error —
-/// truncation and corruption are reported in [`SegmentScan::torn`].
-///
-/// # Errors
-/// Returns [`Error::Artifact`] when the file cannot be read at all.
-pub fn read_segment(path: &Path) -> Result<SegmentScan> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| Error::artifact(format!("cannot read segment {}: {e}", path.display())))?;
-    let scan = codec::scan_records(&bytes, JOURNAL_SCHEMA, JOURNAL_VERSION);
-    let mut records = Vec::with_capacity(scan.records.len());
-    let mut torn = scan.torn;
-    for (i, value) in scan.records.into_iter().enumerate() {
-        match serde_json::from_value::<JournalRecord>(&value) {
-            Ok(record) => records.push(record),
-            Err(e) => {
-                // A checksum-valid record with an alien shape: everything
-                // from here on is untrusted, exactly like a torn tail.
-                torn = Some(Error::artifact(format!(
-                    "segment {} record {i} has an unexpected shape: {e}",
-                    path.display()
-                )));
-                break;
-            }
-        }
-    }
-    Ok(SegmentScan { records, torn })
-}
-
-/// The append side of the journal. Not thread-safe by itself — the
-/// serving integration wraps it in a [`JournalSink`].
-///
-/// Appends are **staged**: [`JournalWriter::stage`] encodes records into
-/// an in-memory buffer and [`JournalWriter::flush`] writes the buffer in
-/// one syscall — so a served batch of B selections costs one write, not
-/// B. [`JournalWriter::append`] is the stage+flush convenience for
-/// single records.
-#[derive(Debug)]
-pub struct JournalWriter {
-    dir: PathBuf,
-    opts: JournalOptions,
-    file: File,
-    segment: u64,
-    records_in_segment: usize,
-    next_seq: u64,
-    /// Encoded-but-unwritten frames (cleared by [`JournalWriter::flush`]).
-    pending: Vec<u8>,
-    /// Records inside `pending`.
-    pending_records: u64,
-    /// Records durably written since open — the ground truth the sink's
-    /// `appended` counter is derived from, exact even when an
-    /// intra-batch rotation flush fails.
-    durable: u64,
-}
-
-impl JournalWriter {
-    /// Opens (or resumes) the journal in `dir`, creating the directory if
-    /// needed. Resuming scans existing segments for the next sequence
-    /// number; a segment with a torn tail is sealed as-is (appending
-    /// after garbage would bury every later record) and writing continues
-    /// in a fresh segment.
-    ///
-    /// # Errors
-    /// Returns [`Error::Artifact`] on IO failure.
-    pub fn open(dir: &Path, opts: JournalOptions) -> Result<Self> {
-        std::fs::create_dir_all(dir).map_err(|e| {
-            Error::artifact(format!("cannot create journal dir {}: {e}", dir.display()))
-        })?;
-        let segments = list_segments(dir)?;
-        // One backwards pass serves both resume questions: the newest
-        // segment's scan decides whether it can be appended to, and the
-        // newest segment holding any complete record fixes the next
-        // sequence number.
-        let mut next_seq = 0u64;
-        let mut active: Option<(u64, usize, bool)> = None;
-        for (i, path) in segments.iter().enumerate().rev() {
-            let scan = read_segment(path)?;
-            if i == segments.len() - 1 {
-                let index = segment_index(path).expect("listed segments parse");
-                let reusable =
-                    scan.torn.is_none() && scan.records.len() < opts.segment_max_records.max(1);
-                active = Some(if reusable {
-                    (index, scan.records.len(), true)
-                } else {
-                    (index + 1, 0, false)
-                });
-            }
-            if let Some(last) = scan.records.last() {
-                next_seq = last.seq + 1;
-                break;
-            }
-        }
-        let (segment, records_in_segment, reuse) = active.unwrap_or((0, 0, false));
-        let path = segment_path(dir, segment);
-        let file = if reuse {
-            OpenOptions::new().append(true).open(&path)
-        } else {
-            File::create(&path)
-        }
-        .map_err(|e| Error::artifact(format!("cannot open segment {}: {e}", path.display())))?;
-        Ok(JournalWriter {
-            dir: dir.to_path_buf(),
-            opts,
-            file,
-            segment,
-            records_in_segment,
-            next_seq,
-            pending: Vec::new(),
-            pending_records: 0,
-            durable: 0,
-        })
-    }
-
-    /// The sequence number the next append will be stamped with.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Index of the segment currently being appended to.
-    pub fn active_segment(&self) -> u64 {
-        self.segment
-    }
-
-    /// Encodes one record into the pending buffer (its `seq` field is
-    /// overwritten with the journal's next sequence number, which is
-    /// returned), rotating to a fresh segment — flushing first — when the
-    /// active one is full. Nothing reaches disk until
-    /// [`JournalWriter::flush`].
-    ///
-    /// # Errors
-    /// Returns [`Error::Artifact`] on an unencodable (oversized) record
-    /// or a rotation failure; the sequence number is not consumed on
-    /// failure.
-    pub fn stage(&mut self, mut record: JournalRecord) -> Result<u64> {
-        if self.records_in_segment >= self.opts.segment_max_records.max(1) {
-            self.flush()?;
-            // Seal the full segment durably before rotating away from it:
-            // compaction consumes sealed segments on the assumption that
-            // their contents survive a crash, and this is the last moment
-            // this writer holds the file.
-            self.file
-                .sync_data()
-                .map_err(|e| Error::artifact(format!("cannot sync sealed segment: {e}")))?;
-            self.segment += 1;
-            let path = segment_path(&self.dir, self.segment);
-            self.file = File::create(&path).map_err(|e| {
-                Error::artifact(format!("cannot rotate to segment {}: {e}", path.display()))
-            })?;
-            self.records_in_segment = 0;
-        }
-        record.seq = self.next_seq;
-        let frame = codec::encode_record(
-            JOURNAL_SCHEMA,
-            JOURNAL_VERSION,
-            serde_json::to_value(&record),
-        )?;
-        self.pending.extend_from_slice(&frame);
-        self.pending_records += 1;
-        self.records_in_segment += 1;
-        self.next_seq += 1;
-        Ok(record.seq)
-    }
-
-    /// Writes every pending frame in one syscall. On failure the pending
-    /// records are lost (their sequence numbers stay consumed — gaps are
-    /// legal, resumption only needs the maximum).
-    ///
-    /// ## Durability
-    ///
-    /// By default a flushed record has reached the kernel, not the
-    /// platter: it survives a process crash but not a power cut. Sealed
-    /// (rotated-away) segments are always `fdatasync`ed; the active
-    /// segment is only synced when
-    /// [`JournalOptions::sync_every_flush`] is set.
-    ///
-    /// # Errors
-    /// Returns [`Error::Artifact`] on IO failure.
-    pub fn flush(&mut self) -> Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let outcome = self
-            .file
-            .write_all(&self.pending)
-            .and_then(|()| self.file.flush())
-            .and_then(|()| {
-                if self.opts.sync_every_flush {
-                    self.file.sync_data()
-                } else {
-                    Ok(())
-                }
-            })
-            .map_err(|e| Error::artifact(format!("cannot append journal records: {e}")));
-        if outcome.is_ok() {
-            self.durable += self.pending_records;
-        }
-        self.pending.clear();
-        self.pending_records = 0;
-        outcome
-    }
-
-    /// Records durably written since this writer opened.
-    pub fn durable(&self) -> u64 {
-        self.durable
-    }
-
-    /// Stages and flushes one record — see [`JournalWriter::stage`].
-    ///
-    /// # Errors
-    /// Returns [`Error::Artifact`] on encoding or IO failure.
-    pub fn append(&mut self, record: JournalRecord) -> Result<u64> {
-        let seq = self.stage(record)?;
-        self.flush()?;
-        Ok(seq)
-    }
-}
+/// The append side of the journal (`open`, `stage`, `flush`, `append`).
+pub type JournalWriter = Writer<JournalRecord>;
 
 /// The journal as a [`TraceSink`]: the bridge between the serving runtime
-/// and the append-only log. Appends happen on the serving thread under a
-/// mutex, one buffered **write per served batch** (not per selection); a
-/// sink that cannot record — oversized payload, disk failure — **never
-/// fails the serving path**: it counts the dropped records and keeps the
-/// last error for the operator.
-#[derive(Debug)]
-pub struct JournalSink {
-    writer: Mutex<JournalWriter>,
-    appended: AtomicU64,
-    dropped: AtomicU64,
-    last_error: Mutex<Option<Error>>,
-}
-
-impl JournalSink {
-    /// Opens (or resumes) the journal in `dir` — see
-    /// [`JournalWriter::open`].
-    ///
-    /// # Errors
-    /// Returns [`Error::Artifact`] on IO failure.
-    pub fn open(dir: &Path, opts: JournalOptions) -> Result<Self> {
-        Ok(JournalSink {
-            writer: Mutex::new(JournalWriter::open(dir, opts)?),
-            appended: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            last_error: Mutex::new(None),
-        })
-    }
-
-    /// Records dropped because the journal could not be written.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Acquire)
-    }
-
-    /// The most recent append failure, if any.
-    pub fn last_error(&self) -> Option<Error> {
-        self.last_error
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
-    }
-}
+/// and the log. Each served batch is staged under the sink's lock and
+/// written with **one write**; a record that cannot be journaled —
+/// oversized payload, disk failure — **never fails the serving path**: it
+/// is counted in `dropped` and its error kept in `last_error`.
+pub type JournalSink = Sink<JournalRecord>;
 
 impl TraceSink for JournalSink {
     fn record_batch(
@@ -426,95 +77,45 @@ impl TraceSink for JournalSink {
         features: &[FeatureVector],
         payloads: &[Value],
         selections: &[Selection],
-    ) {
-        self.record_batch_traced(revision, features, payloads, selections, None);
-    }
-
-    fn record_batch_traced(
-        &self,
-        revision: u64,
-        features: &[FeatureVector],
-        payloads: &[Value],
-        selections: &[Selection],
         trace_id: Option<u64>,
     ) {
-        // Recover from poisoning: a panic on one serving thread must not
-        // wedge journaling (and with it every later traced batch) behind
-        // a `PoisonError`. The writer's counters stay consistent across
-        // a panic — `durable` only advances on successful flushes.
-        let mut writer = self
-            .writer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let durable_before = writer.durable();
-        let mut error: Option<Error> = None;
-        for (i, (fv, selection)) in features.iter().zip(selections).enumerate() {
-            let payload = payloads.get(i).filter(|v| !v.is_null()).cloned();
-            let record = JournalRecord {
-                seq: 0, // assigned by the writer
-                revision,
-                landmark: selection.landmark as u64,
-                out_of_distribution: selection.out_of_distribution,
-                fell_back: selection.fell_back,
-                features: fv.clone(),
-                payload,
-                trace_id,
-            };
-            match writer.stage(record) {
-                Ok(_) => {}
-                Err(e) => {
-                    // An unrecordable record (e.g. an oversized payload)
-                    // or a failed rotation costs what it costs, never the
-                    // batch — and never a panic that would poison this
-                    // mutex. (A rotation failure inside `stage` may also
-                    // have lost earlier staged records; the durable
-                    // counter below accounts for those exactly.)
-                    error = Some(e);
-                }
-            }
-        }
-        if let Err(e) = writer.flush() {
-            error = Some(e);
-        }
-        // `durable` is ground truth: staged records can be lost by a
-        // failed intra-batch rotation flush as well as the final flush,
-        // so derive both counters from what actually reached disk.
-        let landed = writer.durable() - durable_before;
-        drop(writer);
-        self.appended.fetch_add(landed, Ordering::AcqRel);
-        self.dropped
-            .fetch_add(selections.len() as u64 - landed, Ordering::AcqRel);
-        if let Some(e) = error {
-            *self
-                .last_error
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(e);
-        }
+        self.append(|()| {
+            features
+                .iter()
+                .zip(selections)
+                .enumerate()
+                .map(|(i, (fv, selection))| JournalRecord {
+                    seq: 0, // assigned by the writer
+                    revision,
+                    landmark: selection.landmark as u64,
+                    out_of_distribution: selection.out_of_distribution,
+                    fell_back: selection.fell_back,
+                    features: fv.clone(),
+                    payload: payloads.get(i).filter(|v| !v.is_null()).cloned(),
+                    trace_id,
+                })
+        });
     }
 
     fn appended(&self) -> u64 {
-        self.appended.load(Ordering::Acquire)
+        Sink::appended(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use intune_core::FeatureDef;
+    use intune_core::seglog::{list_segments, read_file, segment_path};
+    use intune_core::{Error, FeatureDef, FeatureId, FeatureSample};
+    use std::path::{Path, PathBuf};
 
     fn record(seq: u64, kind: f64) -> JournalRecord {
-        let defs = [FeatureDef::new("kind", 1), FeatureDef::new("size", 1)];
-        let mut fv = FeatureVector::empty(&defs);
-        for (p, _) in defs.iter().enumerate() {
-            fv.insert(
-                intune_core::FeatureId {
-                    property: p,
-                    level: 0,
-                },
-                intune_core::FeatureSample::new(kind + p as f64, 1.0),
-            )
-            .unwrap();
-        }
+        let mut fv = FeatureVector::empty(&[FeatureDef::new("kind", 1)]);
+        let id = FeatureId {
+            property: 0,
+            level: 0,
+        };
+        fv.insert(id, FeatureSample::new(kind, 1.0)).unwrap();
         JournalRecord {
             seq,
             revision: 3,
@@ -538,34 +139,50 @@ mod tests {
         dir
     }
 
+    fn opts(segment_max_records: usize) -> JournalOptions {
+        JournalOptions {
+            segment_max_records,
+        }
+    }
+
+    /// Every segment's records in order, and the number of torn segments.
+    fn read_back(dir: &Path) -> (Vec<JournalRecord>, usize) {
+        let mut records = Vec::new();
+        let mut torn = 0;
+        for segment in list_segments(dir, JournalRecord::PREFIX).unwrap() {
+            let scan = read_file::<JournalRecord>(&segment).unwrap();
+            records.extend(scan.records);
+            torn += usize::from(scan.torn.is_some());
+        }
+        (records, torn)
+    }
+
+    fn selections(n: usize) -> Vec<Selection> {
+        vec![
+            Selection {
+                landmark: 1,
+                extraction_cost: 0.5,
+                out_of_distribution: true,
+                fell_back: false,
+            };
+            n
+        ]
+    }
+
     #[test]
     fn append_rotate_and_read_back_across_segments() {
         let dir = tmp("rotate");
-        let mut w = JournalWriter::open(
-            &dir,
-            JournalOptions {
-                segment_max_records: 4,
-                ..JournalOptions::default()
-            },
-        )
-        .unwrap();
+        let mut w = JournalWriter::open(&dir, opts(4)).unwrap();
         for i in 0..10 {
             assert_eq!(w.append(record(999, i as f64)).unwrap(), i);
         }
         assert_eq!(w.active_segment(), 2, "10 records at 4/segment");
-        let segments = list_segments(&dir).unwrap();
-        assert_eq!(segments.len(), 3);
-        let mut all = Vec::new();
-        for s in &segments {
-            let scan = read_segment(s).unwrap();
-            assert!(scan.torn.is_none());
-            all.extend(scan.records);
-        }
-        assert_eq!(all.len(), 10);
-        for (i, r) in all.iter().enumerate() {
-            assert_eq!(r.seq, i as u64, "writer stamps sequence numbers");
-            assert_eq!(r.revision, 3);
-        }
+        assert_eq!(list_segments(&dir, JournalRecord::PREFIX).unwrap().len(), 3);
+        let (all, torn) = read_back(&dir);
+        assert_eq!(torn, 0);
+        let seqs: Vec<u64> = all.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, (0..10).collect::<Vec<_>>(), "writer stamps seq");
+        assert!(all.iter().all(|r| r.revision == 3));
         // Payload presence alternates by construction.
         assert!(all[0].payload.is_some());
         assert!(all[1].payload.is_none());
@@ -575,31 +192,16 @@ mod tests {
     #[test]
     fn reopen_resumes_sequence_and_appends_to_the_active_segment() {
         let dir = tmp("resume");
-        {
-            let mut w = JournalWriter::open(
-                &dir,
-                JournalOptions {
-                    segment_max_records: 4,
-                    ..JournalOptions::default()
-                },
-            )
-            .unwrap();
-            for i in 0..6 {
-                w.append(record(0, i as f64)).unwrap();
-            }
+        let mut w = JournalWriter::open(&dir, opts(4)).unwrap();
+        for i in 0..6 {
+            w.append(record(0, i as f64)).unwrap();
         }
-        let mut w = JournalWriter::open(
-            &dir,
-            JournalOptions {
-                segment_max_records: 4,
-                ..JournalOptions::default()
-            },
-        )
-        .unwrap();
+        drop(w);
+        let mut w = JournalWriter::open(&dir, opts(4)).unwrap();
         assert_eq!(w.next_seq(), 6, "sequence resumes after the last record");
         assert_eq!(w.active_segment(), 1, "half-full segment is reused");
         w.append(record(0, 9.0)).unwrap();
-        let segments = list_segments(&dir).unwrap();
+        let segments = list_segments(&dir, JournalRecord::PREFIX).unwrap();
         assert_eq!(segments.len(), 2, "no fresh segment was needed");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -607,18 +209,16 @@ mod tests {
     #[test]
     fn torn_tail_is_sealed_and_writing_continues_in_a_fresh_segment() {
         let dir = tmp("torn");
-        {
-            let mut w = JournalWriter::open(&dir, JournalOptions::default()).unwrap();
-            for i in 0..3 {
-                w.append(record(0, i as f64)).unwrap();
-            }
+        let mut w = JournalWriter::open(&dir, JournalOptions::default()).unwrap();
+        for i in 0..3 {
+            w.append(record(0, i as f64)).unwrap();
         }
+        drop(w);
         // Crash simulation: cut the active segment mid-record.
-        let path = segment_path(&dir, 0);
+        let path = segment_path(&dir, JournalRecord::PREFIX, 0);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
-
-        let scan = read_segment(&path).unwrap();
+        let scan = read_file::<JournalRecord>(&path).unwrap();
         assert_eq!(scan.records.len(), 2, "complete records survive");
         let torn = scan.torn.expect("torn tail typed");
         assert!(matches!(torn, Error::Artifact { .. }), "{torn:?}");
@@ -627,115 +227,64 @@ mod tests {
         assert_eq!(w.next_seq(), 2, "the torn record's seq is reissued");
         assert_eq!(w.active_segment(), 1, "damaged segment is sealed");
         w.append(record(0, 8.0)).unwrap();
-        let scan = read_segment(&segment_path(&dir, 1)).unwrap();
-        assert_eq!(scan.records.len(), 1);
-        assert_eq!(scan.records[0].seq, 2);
         // The sealed segment still reads back its complete prefix.
-        let sealed = read_segment(&path).unwrap();
-        assert_eq!(sealed.records.len(), 2);
-        assert!(sealed.torn.is_some());
+        let (all, torn) = read_back(&dir);
+        assert_eq!(all.iter().map(|r| r.seq).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(torn, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn sink_counts_appends_and_null_payloads_become_none() {
-        use crate::trace::TraceSink as _;
         let dir = tmp("sink");
         let sink = JournalSink::open(&dir, JournalOptions::default()).unwrap();
-        let r = record(0, 1.0);
-        let selections = vec![
-            Selection {
-                landmark: 1,
-                extraction_cost: 0.5,
-                out_of_distribution: true,
-                fell_back: false,
-            };
-            2
-        ];
-        let features = vec![r.features.clone(), r.features.clone()];
+        let fv = record(0, 1.0).features;
+        let features = vec![fv.clone(), fv];
         let payloads = vec![Value::Array(vec![Value::Int(1)]), Value::Null];
-        sink.record_batch(7, &features, &payloads, &selections);
+        sink.record_batch(7, &features, &payloads, &selections(2), Some(0xbeef));
         // And a payload-free batch.
-        sink.record_batch(7, &features, &[], &selections);
-        assert_eq!(sink.appended(), 4);
+        sink.record_batch(7, &features, &[], &selections(2), None);
+        assert_eq!(TraceSink::appended(&sink), 4);
         assert_eq!(sink.dropped(), 0);
         assert!(sink.last_error().is_none());
 
-        let scan = read_segment(&segment_path(&dir, 0)).unwrap();
-        assert_eq!(scan.records.len(), 4);
-        assert!(scan.records[0].payload.is_some());
-        assert!(scan.records[1].payload.is_none(), "Null payload elided");
-        assert!(scan.records[2].payload.is_none());
-        assert_eq!(scan.records[0].revision, 7);
-        assert_eq!(scan.records[0].landmark, 1);
-        assert!(scan.records[0].out_of_distribution);
+        let (all, _) = read_back(&dir);
+        assert_eq!(all.len(), 4);
+        assert!(all[0].payload.is_some());
+        assert!(all[1].payload.is_none(), "Null payload elided");
+        assert!(all[2].payload.is_none());
+        assert_eq!((all[0].revision, all[0].landmark), (7, 1));
+        assert!(all[0].out_of_distribution);
+        assert_eq!(all[1].trace_id, Some(0xbeef), "trace id stamped per record");
+        assert_eq!(all[2].trace_id, None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn oversized_payloads_are_dropped_typed_and_never_poison_the_sink() {
-        use crate::trace::TraceSink as _;
         let dir = tmp("oversize");
         let sink = JournalSink::open(&dir, JournalOptions::default()).unwrap();
         let fv = record(0, 1.0).features;
-        let selection = Selection {
-            landmark: 0,
-            extraction_cost: 0.0,
-            out_of_distribution: false,
-            fell_back: false,
-        };
         // A payload whose encoded record exceeds the 16 MiB frame cap —
         // wire clients can ship these (the wire frame cap is 64 MiB), so
         // the sink must drop the record, not panic under its mutex and
         // take every later selection down with it.
         let huge = Value::String("x".repeat(intune_core::codec::MAX_RECORD_BYTES + 1024));
-        sink.record_batch(
-            1,
-            &[fv.clone(), fv.clone()],
-            &[huge, Value::Null],
-            &[selection, selection],
-        );
+        let pair = [fv.clone(), fv.clone()];
+        sink.record_batch(1, &pair, &[huge, Value::Null], &selections(2), None);
         assert_eq!(sink.dropped(), 1, "only the oversized record is lost");
         assert_eq!(sink.appended(), 1, "the rest of the batch lands");
         let err = sink.last_error().expect("typed drop reason");
         assert!(err.to_string().contains("frame cap"), "{err}");
 
         // The sink (and its mutex) survive: later batches still journal.
-        sink.record_batch(1, &[fv], &[], &[selection]);
+        sink.record_batch(1, &[fv], &[], &selections(1), None);
         assert_eq!(sink.appended(), 2);
-        let scan = read_segment(&segment_path(&dir, 0)).unwrap();
-        assert!(scan.torn.is_none());
-        assert_eq!(scan.records.len(), 2);
+        let (all, torn) = read_back(&dir);
+        assert_eq!(torn, 0);
+        let seqs: Vec<u64> = all.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [0, 1], "the dropped record's seq is not used");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sync_every_flush_writes_the_same_bytes() {
-        // The opt-in fsync changes when bytes become durable, never what
-        // is written: both modes must produce byte-identical segments.
-        let write_all = |tag: &str, sync: bool| {
-            let dir = tmp(tag);
-            let mut w = JournalWriter::open(
-                &dir,
-                JournalOptions {
-                    segment_max_records: 3,
-                    sync_every_flush: sync,
-                },
-            )
-            .unwrap();
-            for i in 0..7 {
-                w.append(record(0, i as f64)).unwrap();
-            }
-            assert_eq!(w.durable(), 7);
-            let bytes: Vec<Vec<u8>> = list_segments(&dir)
-                .unwrap()
-                .iter()
-                .map(|s| std::fs::read(s).unwrap())
-                .collect();
-            std::fs::remove_dir_all(&dir).ok();
-            bytes
-        };
-        assert_eq!(write_all("sync-on", true), write_all("sync-off", false));
     }
 
     #[test]
@@ -746,7 +295,7 @@ mod tests {
         std::fs::write(dir.join("journal-xx.seg"), "bad index").unwrap();
         let mut w = JournalWriter::open(&dir, JournalOptions::default()).unwrap();
         w.append(record(0, 1.0)).unwrap();
-        assert_eq!(list_segments(&dir).unwrap().len(), 1);
+        assert_eq!(list_segments(&dir, JournalRecord::PREFIX).unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

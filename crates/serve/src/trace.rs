@@ -26,32 +26,18 @@ pub trait TraceSink: Send + Sync {
     /// `selections[i]` answered `features[i]`. `payloads` is either empty
     /// (the caller had no raw inputs to attach) or parallel too, with
     /// `Value::Null` marking vectors that arrived without a payload.
-    /// `revision` is the rollout revision of the artifact that answered.
+    /// `revision` is the rollout revision of the artifact that answered;
+    /// `trace_id` names the sampled trace the batch arrived in, if any
+    /// (the journal stamps it onto every record, so a retrain cycle can
+    /// later name the traces whose inputs it consumed).
     fn record_batch(
         &self,
         revision: u64,
         features: &[FeatureVector],
         payloads: &[Value],
         selections: &[Selection],
-    );
-
-    /// [`TraceSink::record_batch`] plus the request's trace id, when the
-    /// batch arrived inside a sampled trace. The default forwards to
-    /// `record_batch`, so sinks that do not care about tracing (tests,
-    /// counters) implement nothing; the journal overrides it to stamp
-    /// the id onto every record — that is how a retrain cycle can later
-    /// name the traces whose inputs it consumed.
-    fn record_batch_traced(
-        &self,
-        revision: u64,
-        features: &[FeatureVector],
-        payloads: &[Value],
-        selections: &[Selection],
         trace_id: Option<u64>,
-    ) {
-        let _ = trace_id;
-        self.record_batch(revision, features, payloads, selections);
-    }
+    );
 
     /// Total records this sink has durably recorded (0 for sinks that do
     /// not count). Surfaces in daemon `Stats` as `journaled`.
@@ -81,6 +67,7 @@ pub(crate) mod testutil {
             features: &[FeatureVector],
             payloads: &[Value],
             selections: &[Selection],
+            _trace_id: Option<u64>,
         ) {
             assert_eq!(features.len(), selections.len());
             assert!(payloads.is_empty() || payloads.len() == features.len());

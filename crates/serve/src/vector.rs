@@ -256,6 +256,7 @@ impl VectorService {
                 std::slice::from_ref(fv),
                 &[],
                 std::slice::from_ref(&selection),
+                None,
             );
         }
         Ok(selection)
@@ -351,7 +352,7 @@ impl VectorService {
         self.note_fallback_transition(fall_back);
         let sampled = trace.filter(|ctx| ctx.sampled && ctx.trace_id != 0);
         if let Some(sink) = &self.trace {
-            sink.record_batch_traced(
+            sink.record_batch(
                 self.artifact.revision,
                 vectors,
                 payloads,

@@ -162,9 +162,8 @@ proptest! {
     fn truncated_journal_segments_recover_every_complete_record(
         seed in 0u64..100_000, records in 1usize..12, cut_sel in 0usize..100_000,
     ) {
-        use intune_serve::journal::{
-            read_segment, segment_path, JournalOptions, JournalRecord, JournalWriter,
-        };
+        use intune_core::seglog::{read_file, segment_path, SegmentRecord};
+        use intune_serve::journal::{JournalOptions, JournalRecord, JournalWriter};
 
         let dir = std::env::temp_dir().join(format!(
             "intune-serve-prop-journal-{}-{seed}-{records}",
@@ -178,7 +177,6 @@ proptest! {
             // tests; truncation semantics are per-file.
             let mut w = JournalWriter::open(&dir, JournalOptions {
                 segment_max_records: records + 1,
-                ..JournalOptions::default()
             }).unwrap();
             for i in 0..records {
                 w.append(JournalRecord {
@@ -195,11 +193,11 @@ proptest! {
                 }).unwrap();
             }
         }
-        let path = segment_path(&dir, 0);
+        let path = segment_path(&dir, JournalRecord::PREFIX, 0);
         let bytes = std::fs::read(&path).unwrap();
 
         // Record the clean read and every record's end offset.
-        let clean = read_segment(&path).unwrap();
+        let clean = read_file::<JournalRecord>(&path).unwrap();
         prop_assert!(clean.torn.is_none());
         prop_assert_eq!(clean.records.len(), records);
         let mut boundaries = vec![0usize];
@@ -216,7 +214,7 @@ proptest! {
 
         let cut = cut_sel % (bytes.len() + 1);
         std::fs::write(&path, &bytes[..cut]).unwrap();
-        let scan = read_segment(&path).unwrap();
+        let scan = read_file::<JournalRecord>(&path).unwrap();
         let complete = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
         prop_assert_eq!(
             scan.records.len(), complete,

@@ -155,7 +155,6 @@ fn drifted_traffic_retrains_and_promotes_revision_n_plus_one_without_a_restart()
             &journal_dir,
             JournalOptions {
                 segment_max_records: 8,
-                ..JournalOptions::default()
             },
         )
         .expect("journal opens"),
