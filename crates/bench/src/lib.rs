@@ -58,38 +58,11 @@ pub use serve_baseline::{
     serve_baseline, serve_baseline_json, ServeBenchConfig, ServeCaseBaseline,
 };
 
+pub(crate) use intune_core::ScratchDir;
 use intune_eval::{run_case_full, CaseRunOptions, SuiteConfig, TestCase};
 use intune_exec::Engine;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::time::Instant;
-
-/// A scratch directory owned by one caller, removed on drop. The name
-/// carries the process id plus a process-wide counter, so baselines (and
-/// tests) running concurrently in one process never share one.
-pub(crate) struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    pub(crate) fn new(tag: &str) -> ScratchDir {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("intune-bench-{tag}-{}-{n}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("bench scratch dir");
-        ScratchDir(dir)
-    }
-
-    pub(crate) fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
 
 /// A micro-scale suite configuration for benches: one case runs in tens of
 /// milliseconds so Criterion can sample it meaningfully.

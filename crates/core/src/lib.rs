@@ -49,6 +49,7 @@ mod config;
 mod cost;
 mod error;
 mod features;
+mod scratch;
 pub mod seglog;
 mod selector;
 mod trace;
@@ -60,5 +61,6 @@ pub use config::{
 pub use cost::{Cost, ExecutionReport, Stopwatch};
 pub use error::{Error, Result};
 pub use features::{FeatureDef, FeatureId, FeatureSample, FeatureSet, FeatureVector};
+pub use scratch::ScratchDir;
 pub use selector::{Selector, SelectorSpec};
 pub use trace::TraceContext;

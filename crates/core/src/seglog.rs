@@ -494,6 +494,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScratchDir;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
     use serde_json::Value;
@@ -520,29 +521,6 @@ mod tests {
         Note {
             seq: 0,
             text: format!("{}{i}", "x".repeat(i % 5)),
-        }
-    }
-
-    /// A directory owned by one test (pid + counter), removed on drop.
-    struct TempDir(PathBuf);
-
-    impl TempDir {
-        fn new(tag: &str) -> TempDir {
-            static NEXT: AtomicU64 = AtomicU64::new(0);
-            let dir = std::env::temp_dir().join(format!(
-                "intune-seglog-{tag}-{}-{}",
-                std::process::id(),
-                NEXT.fetch_add(1, Ordering::Relaxed)
-            ));
-            std::fs::remove_dir_all(&dir).ok();
-            std::fs::create_dir_all(&dir).unwrap();
-            TempDir(dir)
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            std::fs::remove_dir_all(&self.0).ok();
         }
     }
 
@@ -603,8 +581,8 @@ mod tests {
         records: usize,
         cut_sel: usize,
     ) -> std::result::Result<(), TestCaseError> {
-        let tmp = TempDir::new("truncate");
-        let root = tmp.0.as_path();
+        let tmp = ScratchDir::new("seglog-truncate");
+        let root = tmp.path();
         let path = layout.first_file(root);
         let mut boundaries = vec![0usize];
         {
@@ -673,8 +651,8 @@ mod tests {
     #[test]
     fn alien_record_ends_the_readable_log_in_both_layouts() {
         for layout in [Layout::Dir, Layout::File] {
-            let tmp = TempDir::new("alien");
-            let root = tmp.0.as_path();
+            let tmp = ScratchDir::new("seglog-alien");
+            let root = tmp.path();
             layout.open(root, 1024).append(note(0)).unwrap();
             let path = layout.first_file(root);
             let good = std::fs::read(&path).unwrap();

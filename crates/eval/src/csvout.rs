@@ -45,10 +45,9 @@ mod tests {
 
     #[test]
     fn writes_and_escapes() {
-        let dir = std::env::temp_dir().join("intune-csv-test");
-        let dir = dir.to_str().unwrap();
+        let dir = intune_core::ScratchDir::new("csv-test");
         let path = write_csv(
-            dir,
+            dir.path().to_str().unwrap(),
             "t.csv",
             &[
                 vec!["a".into(), "b,c".into()],

@@ -219,9 +219,7 @@ pub fn train_candidates(
             .collect();
         let mean_costs: Vec<f64> = set
             .iter()
-            .enumerate()
-            .map(|(pos, id)| {
-                let _ = pos;
+            .map(|id| {
                 features
                     .iter()
                     .map(|fv| fv.get(id).expect("extracted").cost)

@@ -8,6 +8,22 @@
 //! predictions pick `argmin_j Σ_i C[label_i][j]`, and splits greedily reduce
 //! total leaf cost (with a small Gini tie-breaker so that cost plateaus do
 //! not stall induction).
+//!
+//! Split search. At each node, each feature's `(value, label)` pairs are
+//! sorted once. The candidate thresholds are midpoints between
+//! consecutive distinct values, at most [`TreeOptions::max_thresholds`]
+//! of them, spread evenly over the distinct values. They are swept in
+//! ascending order: each row is added to the left counts once, as the
+//! threshold passes it, and the right counts are the node's counts minus
+//! the left ones. A candidate's cost is computed only over the classes
+//! present at the node. The first strictly cheapest split wins (features
+//! in order, then thresholds ascending), and it is taken only if it
+//! lowers the node's cost by more than `1e-12`.
+//!
+//! NaN feature values. A row whose value is NaN goes right at every
+//! threshold, in training and in [`DecisionTree::predict`], since
+//! `NaN <= t` is false. Thresholds come from the non-NaN values only. The
+//! midpoint of −∞ and +∞ is NaN: that threshold sends every row right.
 
 use serde::{Deserialize, Serialize};
 
@@ -20,8 +36,10 @@ pub struct TreeOptions {
     pub min_split: usize,
     /// Minimum samples in each child of a split.
     pub min_leaf: usize,
-    /// Maximum number of candidate thresholds examined per feature
-    /// (quantile-spaced); bounds induction cost on large data.
+    /// Maximum number of candidate thresholds (quantile-spaced) examined
+    /// per feature per node: it bounds how many splits are costed per
+    /// feature per node. Whatever its value, each node's column is sorted
+    /// and swept once.
     pub max_thresholds: usize,
 }
 
@@ -32,6 +50,40 @@ impl Default for TreeOptions {
             min_split: 4,
             min_leaf: 1,
             max_thresholds: 32,
+        }
+    }
+}
+
+/// Buffers of the split search, allocated once per [`DecisionTree::fit`]
+/// and reused by every node (a node finishes its search before its
+/// children start theirs).
+struct Scratch {
+    /// The node's `(value, label)` pairs for one feature, NaN rows left
+    /// out, sorted by value.
+    pairs: Vec<(f64, usize)>,
+    /// The distinct values of `pairs`; candidate thresholds are midpoints
+    /// of consecutive ones.
+    values: Vec<f64>,
+    /// The node's classes with a nonzero count, ascending.
+    present: Vec<usize>,
+    /// Per-class counts of the node, its left side and its right side.
+    counts: Vec<f64>,
+    left: Vec<f64>,
+    right: Vec<f64>,
+    /// Column sums of [`DecisionTree::node_cost`], one per class.
+    col: Vec<f64>,
+}
+
+impl Scratch {
+    fn new(samples: usize, num_classes: usize) -> Self {
+        Scratch {
+            pairs: Vec::with_capacity(samples),
+            values: Vec::with_capacity(samples),
+            present: Vec::with_capacity(num_classes),
+            counts: vec![0.0; num_classes],
+            left: vec![0.0; num_classes],
+            right: vec![0.0; num_classes],
+            col: vec![0.0; num_classes],
         }
     }
 }
@@ -93,7 +145,8 @@ impl DecisionTree {
         );
 
         let idx: Vec<usize> = (0..x.len()).collect();
-        let root = Self::build(x, labels, num_classes, cost, &idx, 0, &opts);
+        let mut scratch = Scratch::new(x.len(), num_classes);
+        let root = Self::build(x, labels, cost, &idx, 0, &opts, &mut scratch);
         DecisionTree {
             root,
             num_classes,
@@ -118,33 +171,45 @@ impl DecisionTree {
         Self::fit(x, labels, num_classes, &cost, opts)
     }
 
-    fn class_counts(labels: &[usize], idx: &[usize], num_classes: usize) -> Vec<f64> {
-        let mut counts = vec![0.0; num_classes];
-        for &i in idx {
-            counts[labels[i]] += 1.0;
-        }
-        counts
-    }
-
     /// Expected cost of the best single prediction for a node, plus that
     /// prediction. Gini impurity is blended in at 1e-6 weight to break ties.
-    // `j` walks prediction columns of the cost matrix; the index is the point.
-    #[allow(clippy::needless_range_loop)]
-    fn node_cost(counts: &[f64], cost: &[Vec<f64>]) -> (f64, usize) {
-        let total: f64 = counts.iter().sum();
+    ///
+    /// `counts` is read only at the classes in `present` (ascending);
+    /// every other class must have count zero. Zero-count rows of the cost
+    /// matrix are left out: each would add `0 · C_ij`, which for finite
+    /// costs changes no column sum (at most the sign of a zero), so the
+    /// result equals the full K×K sum in the same summation order. `col`
+    /// is scratch, one slot per predicted class.
+    fn node_cost(
+        counts: &[f64],
+        present: &[usize],
+        cost: &[Vec<f64>],
+        col: &mut [f64],
+    ) -> (f64, usize) {
+        col.fill(0.0);
+        let mut total = 0.0;
+        for &i in present {
+            let n = counts[i];
+            if n == 0.0 {
+                continue;
+            }
+            total += n;
+            for (c, &w) in col.iter_mut().zip(&cost[i]) {
+                *c += n * w;
+            }
+        }
         let mut best = (f64::INFINITY, 0usize);
-        for j in 0..counts.len() {
-            let c: f64 = counts.iter().enumerate().map(|(i, n)| n * cost[i][j]).sum();
+        for (j, &c) in col.iter().enumerate() {
             if c < best.0 {
                 best = (c, j);
             }
         }
         if total > 0.0 {
             let gini: f64 = 1.0
-                - counts
+                - present
                     .iter()
-                    .map(|n| {
-                        let p = n / total;
+                    .map(|&i| {
+                        let p = counts[i] / total;
                         p * p
                     })
                     .sum::<f64>();
@@ -156,16 +221,21 @@ impl DecisionTree {
     fn build(
         x: &[Vec<f64>],
         labels: &[usize],
-        num_classes: usize,
         cost: &[Vec<f64>],
         idx: &[usize],
         depth: usize,
         opts: &TreeOptions,
+        s: &mut Scratch,
     ) -> Node {
-        let counts = Self::class_counts(labels, idx, num_classes);
-        let (parent_cost, majority) = Self::node_cost(&counts, cost);
-        let pure = counts.iter().filter(|&&c| c > 0.0).count() <= 1;
-        if pure || depth >= opts.max_depth || idx.len() < opts.min_split {
+        s.counts.fill(0.0);
+        for &i in idx {
+            s.counts[labels[i]] += 1.0;
+        }
+        s.present.clear();
+        s.present
+            .extend((0..s.counts.len()).filter(|&c| s.counts[c] > 0.0));
+        let (parent_cost, majority) = Self::node_cost(&s.counts, &s.present, cost, &mut s.col);
+        if s.present.len() <= 1 || depth >= opts.max_depth || idx.len() < opts.min_split {
             return Node::Leaf { class: majority };
         }
 
@@ -175,37 +245,49 @@ impl DecisionTree {
         let mut best: Option<(f64, usize, f64)> = None;
         #[allow(clippy::needless_range_loop)]
         for f in 0..num_features {
-            let mut values: Vec<f64> = idx.iter().map(|&i| x[i][f]).collect();
-            values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            values.dedup();
-            if values.len() < 2 {
+            // NaN rows never satisfy `x <= t`: they stay out of the sweep
+            // and are counted right (right = parent − left).
+            s.pairs.clear();
+            s.pairs.extend(
+                idx.iter()
+                    .map(|&i| (x[i][f], labels[i]))
+                    .filter(|(v, _)| !v.is_nan()),
+            );
+            s.pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            s.values.clear();
+            s.values.extend(s.pairs.iter().map(|&(v, _)| v));
+            s.values.dedup();
+            if s.values.len() < 2 {
                 continue;
             }
-            // Quantile-spaced candidate thresholds (midpoints).
-            let step = ((values.len() - 1) as f64 / opts.max_thresholds as f64).max(1.0);
+            // Quantile-spaced candidate thresholds (midpoints), ascending:
+            // rounding is monotone, so each threshold's left side extends
+            // the previous one's and one sweep over `pairs` serves them
+            // all. The one NaN midpoint (−∞ next to +∞) is the first and
+            // only threshold of its column; it passes no row, as `x <= t`.
+            let step = ((s.values.len() - 1) as f64 / opts.max_thresholds as f64).max(1.0);
+            s.left.fill(0.0);
+            let mut left_n = 0usize;
             let mut t = 0.0;
-            while (t as usize) < values.len() - 1 {
+            while (t as usize) < s.values.len() - 1 {
                 let v = t as usize;
-                let threshold = (values[v] + values[v + 1]) / 2.0;
+                let threshold = (s.values[v] + s.values[v + 1]) / 2.0;
                 t += step;
 
-                let mut left_counts = vec![0.0; num_classes];
-                let mut right_counts = vec![0.0; num_classes];
-                let mut left_n = 0usize;
-                for &i in idx {
-                    if x[i][f] <= threshold {
-                        left_counts[labels[i]] += 1.0;
-                        left_n += 1;
-                    } else {
-                        right_counts[labels[i]] += 1.0;
-                    }
+                while left_n < s.pairs.len() && s.pairs[left_n].0 <= threshold {
+                    s.left[s.pairs[left_n].1] += 1.0;
+                    left_n += 1;
                 }
                 let right_n = idx.len() - left_n;
                 if left_n < opts.min_leaf || right_n < opts.min_leaf {
                     continue;
                 }
-                let (lc, _) = Self::node_cost(&left_counts, cost);
-                let (rc, _) = Self::node_cost(&right_counts, cost);
+                // Counts are integers in f64, so the difference is exact.
+                for &c in &s.present {
+                    s.right[c] = s.counts[c] - s.left[c];
+                }
+                let (lc, _) = Self::node_cost(&s.left, &s.present, cost, &mut s.col);
+                let (rc, _) = Self::node_cost(&s.right, &s.present, cost, &mut s.col);
                 let split_cost = lc + rc;
                 if best.is_none_or(|(b, _, _)| split_cost < b) {
                     best = Some((split_cost, f, threshold));
@@ -217,8 +299,8 @@ impl DecisionTree {
             Some((split_cost, feature, threshold)) if split_cost < parent_cost - 1e-12 => {
                 let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
                     idx.iter().partition(|&&i| x[i][feature] <= threshold);
-                let left = Self::build(x, labels, num_classes, cost, &left_idx, depth + 1, opts);
-                let right = Self::build(x, labels, num_classes, cost, &right_idx, depth + 1, opts);
+                let left = Self::build(x, labels, cost, &left_idx, depth + 1, opts, s);
+                let right = Self::build(x, labels, cost, &right_idx, depth + 1, opts, s);
                 Node::Split {
                     feature,
                     threshold,
@@ -304,6 +386,249 @@ impl DecisionTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The direct split search: every candidate threshold re-scans the
+    /// node's rows into fresh count vectors and costs both sides over all
+    /// K×K cells. Test-only oracle of
+    /// `sweep_search_grows_the_reference_tree`; valid for NaN-free
+    /// features.
+    // `j` and `f` index the columns of the cost matrix and of `x`.
+    #[allow(clippy::needless_range_loop)]
+    fn reference_fit(
+        x: &[Vec<f64>],
+        labels: &[usize],
+        num_classes: usize,
+        cost: &[Vec<f64>],
+        opts: TreeOptions,
+    ) -> DecisionTree {
+        fn node_cost(counts: &[f64], cost: &[Vec<f64>]) -> (f64, usize) {
+            let total: f64 = counts.iter().sum();
+            let mut best = (f64::INFINITY, 0usize);
+            for j in 0..counts.len() {
+                let c: f64 = counts.iter().enumerate().map(|(i, n)| n * cost[i][j]).sum();
+                if c < best.0 {
+                    best = (c, j);
+                }
+            }
+            if total > 0.0 {
+                let gini: f64 = 1.0
+                    - counts
+                        .iter()
+                        .map(|n| {
+                            let p = n / total;
+                            p * p
+                        })
+                        .sum::<f64>();
+                best.0 += 1e-6 * gini * total;
+            }
+            best
+        }
+
+        fn build(
+            x: &[Vec<f64>],
+            labels: &[usize],
+            num_classes: usize,
+            cost: &[Vec<f64>],
+            idx: &[usize],
+            depth: usize,
+            opts: &TreeOptions,
+        ) -> Node {
+            let mut counts = vec![0.0; num_classes];
+            for &i in idx {
+                counts[labels[i]] += 1.0;
+            }
+            let (parent_cost, majority) = node_cost(&counts, cost);
+            let pure = counts.iter().filter(|&&c| c > 0.0).count() <= 1;
+            if pure || depth >= opts.max_depth || idx.len() < opts.min_split {
+                return Node::Leaf { class: majority };
+            }
+            let mut best: Option<(f64, usize, f64)> = None;
+            for f in 0..x[0].len() {
+                let mut values: Vec<f64> = idx.iter().map(|&i| x[i][f]).collect();
+                values.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                values.dedup();
+                if values.len() < 2 {
+                    continue;
+                }
+                let step = ((values.len() - 1) as f64 / opts.max_thresholds as f64).max(1.0);
+                let mut t = 0.0;
+                while (t as usize) < values.len() - 1 {
+                    let v = t as usize;
+                    let threshold = (values[v] + values[v + 1]) / 2.0;
+                    t += step;
+                    let mut left_counts = vec![0.0; num_classes];
+                    let mut right_counts = vec![0.0; num_classes];
+                    let mut left_n = 0usize;
+                    for &i in idx {
+                        if x[i][f] <= threshold {
+                            left_counts[labels[i]] += 1.0;
+                            left_n += 1;
+                        } else {
+                            right_counts[labels[i]] += 1.0;
+                        }
+                    }
+                    let right_n = idx.len() - left_n;
+                    if left_n < opts.min_leaf || right_n < opts.min_leaf {
+                        continue;
+                    }
+                    let split_cost =
+                        node_cost(&left_counts, cost).0 + node_cost(&right_counts, cost).0;
+                    if best.is_none_or(|(b, _, _)| split_cost < b) {
+                        best = Some((split_cost, f, threshold));
+                    }
+                }
+            }
+            match best {
+                Some((split_cost, feature, threshold)) if split_cost < parent_cost - 1e-12 => {
+                    let (l, r): (Vec<usize>, Vec<usize>) =
+                        idx.iter().partition(|&&i| x[i][feature] <= threshold);
+                    Node::Split {
+                        feature,
+                        threshold,
+                        left: Box::new(build(x, labels, num_classes, cost, &l, depth + 1, opts)),
+                        right: Box::new(build(x, labels, num_classes, cost, &r, depth + 1, opts)),
+                    }
+                }
+                _ => Node::Leaf { class: majority },
+            }
+        }
+
+        let idx: Vec<usize> = (0..x.len()).collect();
+        DecisionTree {
+            root: build(x, labels, num_classes, cost, &idx, 0, &opts),
+            num_classes,
+            num_features: x[0].len(),
+        }
+    }
+
+    /// A random NaN-free training problem built to hit the split search's
+    /// edge cases: features drawn from a small value pool (heavy ties),
+    /// duplicated rows, adjacent floats, signed zeros, ±∞, midpoints that
+    /// overflow, labels over a random subset of the `k` classes (the rest
+    /// are empty), and 0/1, integer (tied) or real cost matrices with
+    /// all-zero rows.
+    fn random_problem(
+        rng: &mut StdRng,
+        n: usize,
+        d: usize,
+        k: usize,
+    ) -> (Vec<Vec<f64>>, Vec<usize>, Vec<Vec<f64>>) {
+        let a: f64 = rng.gen_range(-4.0..4.0);
+        let special = [
+            a,
+            a.next_up(),
+            a.next_up().next_up(),
+            a.next_down(),
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            -f64::MAX,
+            f64::MIN_POSITIVE,
+            -5e-324,
+            1.0,
+            -1.0,
+        ];
+        let pool: Vec<f64> = (0..rng.gen_range(1..24))
+            .map(|_| match rng.gen_range(0..3) {
+                0 => special[rng.gen_range(0..special.len())],
+                1 => rng.gen_range(-3i32..4) as f64,
+                _ => rng.gen_range(-100.0..100.0),
+            })
+            .collect();
+        let mut x: Vec<Vec<f64>> = Vec::with_capacity(n);
+        for _ in 0..n {
+            if !x.is_empty() && rng.gen_bool(0.2) {
+                let dup = x[rng.gen_range(0..x.len())].clone();
+                x.push(dup);
+            } else {
+                x.push((0..d).map(|_| pool[rng.gen_range(0..pool.len())]).collect());
+            }
+        }
+        let used: Vec<usize> = (0..k).filter(|_| rng.gen_bool(0.6)).collect();
+        let labels: Vec<usize> = (0..n)
+            .map(|_| match used.len() {
+                0 => rng.gen_range(0..k),
+                m => used[rng.gen_range(0..m)],
+            })
+            .collect();
+        let kind = rng.gen_range(0..3);
+        let cost: Vec<Vec<f64>> = (0..k)
+            .map(|i| {
+                let zero_row = kind != 0 && rng.gen_bool(0.2);
+                (0..k)
+                    .map(|j| match kind {
+                        _ if i == j || zero_row => 0.0,
+                        0 => 1.0,
+                        1 => rng.gen_range(0..4) as f64,
+                        _ => rng.gen_range(0.0..10.0),
+                    })
+                    .collect()
+            })
+            .collect();
+        (x, labels, cost)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The sort-and-sweep search grows exactly the tree the per-threshold
+        /// re-scan grew, for every shape and option the search branches on.
+        #[test]
+        fn sweep_search_grows_the_reference_tree(
+            shape in (1usize..61, 1usize..5, 1usize..13),
+            max_depth in 0usize..13,
+            min_split in 0usize..9,
+            min_leaf in 0usize..4,
+            max_thresholds in 1usize..41,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (n, d, k) = shape;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (x, labels, cost) = random_problem(&mut rng, n, d, k);
+            let opts = TreeOptions { max_depth, min_split, min_leaf, max_thresholds };
+            let tree = DecisionTree::fit(&x, &labels, k, &cost, opts);
+            prop_assert_eq!(tree, reference_fit(&x, &labels, k, &cost, opts));
+        }
+    }
+
+    #[test]
+    fn nan_features_train_and_route_right() {
+        // Feature 0 separates the classes at 9.5 and is NaN on four
+        // class-1 rows; feature 1 is all NaN; feature 2 is NaN on every
+        // other row and holds −∞/+∞ (a NaN midpoint) on the rest.
+        let mut x = Vec::new();
+        let mut y = Vec::new();
+        for i in 0..24 {
+            let v = if i >= 20 { f64::NAN } else { i as f64 };
+            let inf = match i % 4 {
+                0 => f64::NEG_INFINITY,
+                2 => f64::INFINITY,
+                _ => f64::NAN,
+            };
+            x.push(vec![v, f64::NAN, inf]);
+            y.push(usize::from(i >= 10));
+        }
+        let t = DecisionTree::fit_plain(&x, &y, 2, TreeOptions::default());
+        match &t.root {
+            Node::Split {
+                feature, threshold, ..
+            } => {
+                assert_eq!(*feature, 0);
+                assert_eq!(*threshold, 9.5);
+            }
+            leaf => panic!("expected a split, got {leaf:?}"),
+        }
+        for (row, &label) in x.iter().zip(&y) {
+            assert_eq!(t.predict(row), label);
+        }
+        assert_eq!(t.predict(&[f64::NAN, f64::NAN, f64::NAN]), 1);
+        assert_eq!(t.predict(&[3.0, f64::NAN, f64::NAN]), 0);
+    }
 
     /// Two clearly separable classes on feature 0.
     fn separable() -> (Vec<Vec<f64>>, Vec<usize>) {

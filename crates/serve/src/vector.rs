@@ -532,10 +532,8 @@ mod tests {
     fn drift_transitions_are_journaled_to_the_event_log() {
         use intune_obs::{read_events, EventKind, EventLog};
 
-        let dir = std::env::temp_dir().join(format!("intune-serve-events-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("drift-events.log");
-        let _ = std::fs::remove_file(&path);
+        let dir = intune_core::ScratchDir::new("serve-events");
+        let path = dir.path().join("drift-events.log");
         let events = Arc::new(EventLog::open(&path).unwrap());
 
         let mut svc = vector_service(ServeOptions {
@@ -571,7 +569,6 @@ mod tests {
         }
         assert!(matches!(kinds[1], EventKind::FallbackCleared { .. }));
         assert_eq!(scan.events[0].tenant, svc.artifact().benchmark);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
